@@ -463,9 +463,6 @@ func (f *FTL) removeFreeBlock(blk nand.BlockNum) {
 // BadBlockCount reports how many blocks the FTL has retired.
 func (f *FTL) BadBlockCount() int { return len(f.bad) }
 
-// IsBad reports whether a block has been retired to the bad-block table.
-func (f *FTL) IsBad(blk nand.BlockNum) bool { return f.bad[blk] }
-
 // program pads short data to a full page and programs it with its
 // spare-area record.
 func (f *FTL) program(ppn nand.PPN, data, oob []byte) error {
@@ -1312,56 +1309,3 @@ func (f *FTL) GCStats() (victims int64, avgValidity float64) {
 
 // ResetGCStats zeroes the GC observability counters.
 func (f *FTL) ResetGCStats() { f.gcVictims, f.gcValidCopied = 0, 0 }
-
-// AdvanceHost charges host-visible latency that is not tied to a NAND
-// operation (controller firmware time). Exposed for the storage layer.
-func (f *FTL) AdvanceHost(d time.Duration) { f.chip.Clock().Advance(d) }
-
-// DebugCounts classifies every valid flash page for diagnostics: how
-// many are referenced by the volatile map, only by the persistent
-// image, only by the transactional hook, or by nothing at all.
-func (f *FTL) DebugCounts() map[string]int {
-	out := map[string]int{}
-	chipCfg := f.chip.Config()
-	dataBlocks := chipCfg.Blocks - f.cfg.MetaBlocks
-	for b := 0; b < dataBlocks; b++ {
-		if f.bad[nand.BlockNum(b)] || f.metaSet[nand.BlockNum(b)] {
-			out["blk-bad-or-donated"]++
-			continue
-		}
-		freeP, _ := f.chip.FreePages(nand.BlockNum(b))
-		validP, _ := f.chip.ValidPages(nand.BlockNum(b))
-		switch {
-		case freeP == chipCfg.PagesPerBlock:
-			out["blk-erased"]++
-		case freeP > 0:
-			out["blk-partial"]++
-		case validP == chipCfg.PagesPerBlock:
-			out["blk-full-all-valid"]++
-		default:
-			out["blk-full-mixed"]++
-		}
-		for pi := 0; pi < chipCfg.PagesPerBlock; pi++ {
-			ppn := f.chip.PPNOf(nand.BlockNum(b), pi)
-			st, _ := f.chip.State(ppn)
-			if st != nand.PageValid {
-				continue
-			}
-			out["valid"]++
-			lpn := f.rmap[ppn]
-			switch {
-			case lpn < 0:
-				out["orphan-no-rmap"]++
-			case f.l2p[lpn] == ppn:
-				out["volatile-mapped"]++
-			case f.persisted[lpn] == ppn:
-				out["persisted-only"]++
-			case f.hook != nil && f.hook.Live(ppn):
-				out["hook-only"]++
-			default:
-				out["rmap-stale"]++
-			}
-		}
-	}
-	return out
-}

@@ -331,17 +331,7 @@ func (c *Chip) ReadPage(p PPN, buf []byte) error {
 	return c.readPage(p, buf, nil, false, false)
 }
 
-// ReadPageOOB is ReadPage plus the page's spare area: one read command
-// transfers both (the spare bytes ride in the same page register), so it
-// charges a single read. oobBuf must be at least OOBSize bytes.
-func (c *Chip) ReadPageOOB(p PPN, buf, oobBuf []byte) error {
-	if len(oobBuf) < c.cfg.OOBSize {
-		return ErrShortBuffer
-	}
-	return c.readPage(p, buf, oobBuf, false, false)
-}
-
-// readPage implements ReadPage and ReadPageOOB. quiet selects scan
+// readPage implements ReadPage and ReadPageOOBInternal. quiet selects scan
 // semantics: expected failures (torn pages, ECC overflow) do not bump
 // the UncorrectableReads/ReadRetries escape counters — a recovery scan
 // deliberately reads pages that normal firmware would never touch.
@@ -434,24 +424,15 @@ func (c *Chip) ScanRead(p PPN, buf, oobBuf []byte) (PageState, error) {
 // firmware-internal ops (legacy scalar parallelism model).
 func (c *Chip) internalDiv() time.Duration { return time.Duration(c.cfg.Units()) }
 
-// ReadPageInternal is ReadPage for firmware-initiated transfers (GC
-// copy-back): the latency pipelines across the internal channels.
-func (c *Chip) ReadPageInternal(p PPN, buf []byte) error {
-	return c.readPage(p, buf, nil, false, true)
-}
-
-// ReadPageOOBInternal is ReadPageOOB at firmware-internal latency.
+// ReadPageOOBInternal is ReadPage plus the page's spare area, at
+// firmware-internal latency: one read command transfers both (the spare
+// bytes ride in the same page register), so it charges a single read.
+// oobBuf must be at least OOBSize bytes.
 func (c *Chip) ReadPageOOBInternal(p PPN, buf, oobBuf []byte) error {
 	if len(oobBuf) < c.cfg.OOBSize {
 		return ErrShortBuffer
 	}
 	return c.readPage(p, buf, oobBuf, false, true)
-}
-
-// ProgramPageInternal is ProgramPage for firmware-initiated writes
-// (mapping-table flushes, GC copy-back).
-func (c *Chip) ProgramPageInternal(p PPN, data []byte) error {
-	return c.programPage(p, data, nil, true)
 }
 
 // ProgramPageOOBInternal is ProgramPageOOB at firmware-internal latency.

@@ -101,9 +101,6 @@ func (f *Fleet) BeginCross(dbs ...string) (*Tx, error) {
 	return tx, nil
 }
 
-// Gtid reports the transaction's fleet-global id.
-func (t *Tx) Gtid() uint64 { return t.gtid }
-
 // SetReq tags every participant session's I/O with a serving-tier
 // request id (0 clears it); see mvcc.Session.SetReq.
 func (t *Tx) SetReq(req uint64) {
