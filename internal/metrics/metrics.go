@@ -199,6 +199,28 @@ func (s FlashSnapshot) Sub(o FlashSnapshot) FlashSnapshot {
 	}
 }
 
+// Add returns the element-wise sum s + o.
+func (s FlashSnapshot) Add(o FlashSnapshot) FlashSnapshot {
+	return FlashSnapshot{
+		PageWrites:         s.PageWrites + o.PageWrites,
+		PageReads:          s.PageReads + o.PageReads,
+		GCRuns:             s.GCRuns + o.GCRuns,
+		BlockErases:        s.BlockErases + o.BlockErases,
+		CorrectedBits:      s.CorrectedBits + o.CorrectedBits,
+		ReadRetries:        s.ReadRetries + o.ReadRetries,
+		UncorrectableReads: s.UncorrectableReads + o.UncorrectableReads,
+		ProgramFails:       s.ProgramFails + o.ProgramFails,
+		EraseFails:         s.EraseFails + o.EraseFails,
+		RetiredBlocks:      s.RetiredBlocks + o.RetiredBlocks,
+		TransientFaults:    s.TransientFaults + o.TransientFaults,
+		UnitHangs:          s.UnitHangs + o.UnitHangs,
+		MetaCRCFailures:    s.MetaCRCFailures + o.MetaCRCFailures,
+		ImageRecoveries:    s.ImageRecoveries + o.ImageRecoveries,
+		ScanRecoveries:     s.ScanRecoveries + o.ScanRecoveries,
+		ScanPages:          s.ScanPages + o.ScanPages,
+	}
+}
+
 func (s FlashSnapshot) String() string {
 	base := fmt.Sprintf("writes=%d reads=%d gc=%d erases=%d",
 		s.PageWrites, s.PageReads, s.GCRuns, s.BlockErases)
